@@ -119,6 +119,8 @@ def build_materialized(
     sorted_bids = bids[order]
     # Partition boundaries in the sorted order: contiguous slices per BID.
     bounds = np.searchsorted(sorted_bids, np.arange(n_parts + 1))
+    full = rows > 0
+    starts = bounds[:-1][full]
 
     mins: dict[str, np.ndarray] = {}
     maxs: dict[str, np.ndarray] = {}
@@ -126,11 +128,15 @@ def build_materialized(
         v = pdf[c].to_numpy()[order]
         lo = np.full(n_parts, np.inf)
         hi = np.full(n_parts, -np.inf)
-        for b in range(n_parts):
-            s, e = bounds[b], bounds[b + 1]
-            if e > s:
-                lo[b] = v[s:e].min()
-                hi[b] = v[s:e].max()
+        if len(starts):
+            lo[full] = np.fmin.reduceat(v, starts)
+            hi[full] = np.maximum.reduceat(v, starts)
+        # NaN-sound stats: the min skips NaN (+inf when a partition holds only
+        # NaN), and the max is +inf when a partition holds any NaN, because
+        # Spark orders NaN above every number. Pruning then stays sound under
+        # both pandas and Spark comparison semantics.
+        lo[np.isnan(lo)] = np.inf
+        hi[np.isnan(hi)] = np.inf
         mins[c], maxs[c] = lo, hi
 
     distinct: dict[str, list[frozenset]] = {}

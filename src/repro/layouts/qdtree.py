@@ -16,6 +16,22 @@ the same:
 - benefit uses node-level metadata refined only on the cut column, the
   standard approximation that keeps construction metadata-only.
 
+Every cut of a leaf is scored at once from tables computed once per build:
+
+- ``M`` (cuts × sample rows): the rows each cut sends left;
+- ``H`` (queries × cuts): whether a query filters the cut's column;
+- ``A1``/``A2`` (queries × numeric cuts): whether a query can still touch
+  the left child ``(lo, nextafter(v, -inf))`` or the right child
+  ``(v, hi)``. They do not depend on the leaf: a query the leaf cannot skip
+  already overlaps the leaf's ``(lo, hi)`` on every range column, so only
+  the cut value ``v`` decides which side it skips.
+
+Categorical columns are dictionary-encoded once into one code space, so leaf
+distinct sets, cut value sets and IN-lists are boolean vectors over codes and
+a leaf's categorical ``a1``/``a2`` come from matrix products. A leaf's score
+is then ``cnt·n − n1·s1 − (n − n1)·s2`` per cut; the first maximum wins, as a
+strict ``>`` scan in cut order would pick.
+
 The returned :class:`QdTreeLayout` assigns BIDs to any dataframe by vectorized
 tree routing, so the same object drives both the simulator (metadata from the
 full frame) and the Spark reorganization job (mapInPandas).
@@ -114,24 +130,24 @@ def harvest_cuts(queries: list[Query] | tuple[Query, ...], max_cuts: int = 128, 
     return out
 
 
-def _overlaps_num(pred: RangePredicate, lo: float, hi: float) -> bool:
-    if pred.lo is not None and hi < pred.lo:
-        return False
-    if pred.hi is not None and lo > pred.hi:
-        return False
-    return True
-
-
 class _Leaf:
     """Mutable build-time leaf: sample rows + metadata + accessed queries."""
 
-    __slots__ = ("rows", "ranges", "distinct", "accessed")
+    __slots__ = ("rows", "lo", "hi", "distinct", "accessed")
 
-    def __init__(self, rows: np.ndarray, ranges: dict, distinct: dict, accessed: list[int]):
+    def __init__(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, distinct: np.ndarray, accessed: np.ndarray):
         self.rows = rows  # indices into the sample frame
-        self.ranges = ranges  # col -> (lo, hi) over sample rows
-        self.distinct = distinct  # col -> frozenset over sample rows
-        self.accessed = accessed  # indices of queries this leaf cannot skip
+        self.lo = lo  # per numeric column: min over sample rows
+        self.hi = hi  # likewise, max
+        self.distinct = distinct  # bool over category codes present in the leaf
+        self.accessed = accessed  # bool over queries this leaf cannot skip
+
+
+def _incidence(owner: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(owner)) 0/1 matrix with a 1 where item j belongs to row owner[j]."""
+    inc = np.zeros((n, len(owner)))
+    inc[owner, np.arange(len(owner))] = 1
+    return inc
 
 
 def build_qdtree(
@@ -158,127 +174,162 @@ def build_qdtree(
     if len(queries) > max_queries:
         step = len(queries) / max_queries
         queries = [queries[int(i * step)] for i in range(max_queries)]
-
     cuts = harvest_cuts(queries, max_cuts=max_cuts, seed=seed)
-    # Group query predicates by column for incremental benefit evaluation.
-    preds_by_qcol: list[dict[str, list]] = []
-    for q in queries:
-        d: dict[str, list] = {}
-        for p in q.predicates:
-            d.setdefault(p.col, []).append(p)
-        preds_by_qcol.append(d)
+    n_q, n_cuts, n_rows = len(queries), len(cuts), len(sample)
 
     cols = [c for c in sample.columns if c != "BID"]
-    num_cols = [c for c in cols if c not in categorical_cols]
     colarr = {c: sample[c].to_numpy() for c in cols}
+    num_idx = {c: i for i, c in enumerate(c for c in cols if c not in categorical_cols)}
 
-    def leaf_accessed(ranges: dict, distinct: dict, cand: list[int]) -> list[int]:
-        out = []
-        for qi in cand:
-            ok = True
-            for col, preds in preds_by_qcol[qi].items():
-                for p in preds:
-                    if isinstance(p, RangePredicate):
-                        lo, hi = ranges[col]
-                        if not _overlaps_num(p, lo, hi):
-                            ok = False
-                            break
-                    else:
-                        if p.values.isdisjoint(distinct[col]):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                out.append(qi)
-        return out
+    # Dictionary-encode the categorical columns some IN-list reads into one
+    # code space; column c owns codes [start, start + its distinct count).
+    in_cols = {p.col for q in queries for p in q.predicates if isinstance(p, InPredicate)}
+    codes: dict[str, np.ndarray] = {}
+    code_of: dict[str, dict] = {}
+    col_codes: dict[str, slice] = {}
+    n_codes = 0
+    for c in (c for c in categorical_cols if c in in_cols):
+        local, uniq = pd.factorize(colarr[c], use_na_sentinel=False)
+        codes[c] = local + n_codes
+        code_of[c] = {v: n_codes + i for i, v in enumerate(uniq)}
+        col_codes[c] = slice(n_codes, n_codes + len(uniq))
+        n_codes += len(uniq)
 
-    all_rows = np.arange(len(sample))
-    root_ranges = {
-        c: (float(colarr[c].min()), float(colarr[c].max())) if len(sample) else (0.0, 0.0)
-        for c in num_cols
-    }
-    root_distinct = {c: frozenset(colarr[c]) for c in categorical_cols}
-    root_leaf = _Leaf(
-        all_rows, root_ranges, root_distinct, leaf_accessed(root_ranges, root_distinct, list(range(len(queries))))
+    def code_vector(col: str, values) -> np.ndarray:
+        vec = np.zeros(n_codes, dtype=bool)
+        lut = code_of[col]
+        vec[[lut[v] for v in values if v in lut]] = True
+        return vec
+
+    # Predicates, flattened: range bounds with None as ∓inf, IN-lists as
+    # code vectors, each tagged with its query.
+    col_id: dict[str, int] = {}
+    r_q, r_col, r_lo, r_hi, r_cid = [], [], [], [], []
+    i_q, i_cid, i_vec = [], [], []
+    q_col_pairs = []
+    for qi, q in enumerate(queries):
+        for p in q.predicates:
+            cid = col_id.setdefault(p.col, len(col_id))
+            q_col_pairs.append((qi, cid))
+            if isinstance(p, RangePredicate):
+                r_q.append(qi)
+                r_col.append(num_idx[p.col])
+                r_lo.append(-np.inf if p.lo is None else p.lo)
+                r_hi.append(np.inf if p.hi is None else p.hi)
+                r_cid.append(cid)
+            else:
+                i_q.append(qi)
+                i_cid.append(cid)
+                i_vec.append(code_vector(p.col, p.values))
+    # Query-side products run in BLAS on 0/1 float64 values, which hold every
+    # count exactly.
+    r_q, r_col, r_cid = (np.asarray(a, dtype=np.int64) for a in (r_q, r_col, r_cid))
+    i_q, i_cid = np.asarray(i_q, dtype=np.int64), np.asarray(i_cid, dtype=np.int64)
+    r_lo = np.asarray(r_lo, dtype=np.float64)
+    r_hi = np.asarray(r_hi, dtype=np.float64)
+    i_P = np.asarray(i_vec, dtype=float).reshape(len(i_vec), n_codes)
+    r_inc, i_inc = _incidence(r_q, n_q), _incidence(i_q, n_q)
+    cut_cid = np.asarray([col_id[c.col] for c in cuts], dtype=np.int64)
+    q_cols = np.zeros((n_q, len(col_id)), dtype=bool)
+    for qi, cid in q_col_pairs:
+        q_cols[qi, cid] = True
+
+    # Per-build tables. H[i, j]: query i filters cut j's column.
+    H = q_cols[:, cut_cid].astype(float)
+    is_num = np.asarray([isinstance(c, NumCut) for c in cuts], dtype=bool)
+    v = np.asarray([c.v if isinstance(c, NumCut) else np.nan for c in cuts], dtype=np.float64)
+    cat = np.flatnonzero(~is_num)  # CatCut positions among the cuts
+    V = np.zeros((len(cat), n_codes), dtype=bool)  # their value sets
+    V_out = np.zeros((len(cat), n_codes), dtype=bool)  # codes of the cut column outside them
+    M = np.zeros((n_cuts, n_rows), dtype=bool)
+    for j, cut in enumerate(cuts):
+        if isinstance(cut, NumCut):
+            M[j] = colarr[cut.col] < cut.v
+    for r, j in enumerate(cat):
+        col = cuts[j].col
+        V[r] = code_vector(col, cuts[j].values)
+        V_out[r, col_codes[col]] = ~V[r, col_codes[col]]
+        M[j] = V[r][codes[col]]
+    Vf, Vf_out = V.T.astype(float), V_out.T.astype(float)
+
+    # A1/A2 for numeric cuts, fixed for the whole build. Every query in a
+    # leaf's accessed set overlaps the leaf's (lo, hi) on each of its range
+    # columns (that is how the set is filtered), so a range predicate rules
+    # out the left child (lo, v⁻) only when v⁻ < p.lo and the right child
+    # (v, hi) only when v > p.hi — neither test involves the leaf. Stored
+    # times H, so they count only queries that filter the cut's column.
+    same_col = (r_cid[:, None] == cut_cid[None, :]) & is_num[None, :]
+    fail1 = same_col & ~(np.nextafter(v, -np.inf)[None, :] >= r_lo[:, None])
+    fail2 = same_col & ~(v[None, :] <= r_hi[:, None])
+    HA1 = H * (r_inc @ fail1.astype(float) == 0)
+    HA2 = H * (r_inc @ fail2.astype(float) == 0)
+    # IN-predicate × CatCut pairs on the same column.
+    i_same = i_cid[:, None] == cut_cid[None, cat]
+    H_cat = H[:, cat]
+
+    def leaf_accessed(lo: np.ndarray, hi: np.ndarray, distinct: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        bad = np.zeros(n_q, dtype=bool)
+        bad[r_q[(hi[r_col] < r_lo) | (lo[r_col] > r_hi)]] = True
+        bad[i_q[i_P @ distinct.astype(float) == 0]] = True
+        return cand & ~bad
+
+    lo0 = np.zeros(len(num_idx))
+    hi0 = np.zeros(len(num_idx))
+    for c, i in num_idx.items():
+        if n_rows:
+            lo0[i], hi0[i] = float(colarr[c].min()), float(colarr[c].max())
+    d0 = np.ones(n_codes, dtype=bool)
+    root_leaf = _Leaf(np.arange(n_rows), lo0, hi0, d0, leaf_accessed(lo0, hi0, d0, np.ones(n_q, dtype=bool)))
+
+    min_rows = max(1, int(min_leaf_frac * n_rows / k))
+    # A leaf's rows lie inside its recorded range and distinct set, so a cut
+    # that misses ``lo < v <= hi`` or does not properly split the distinct
+    # set sends every row to one side and fails ``min_rows``. The exception
+    # is a column with a NaN: its range is NaN, no NumCut on it is valid.
+    splittable = np.asarray(
+        [isinstance(c, CatCut) or not np.isnan(lo0[num_idx[c.col]]) for c in cuts], dtype=bool
     )
 
-    min_rows = max(1, int(min_leaf_frac * len(sample) / k))
-
     def best_split(leaf: _Leaf):
-        """Return (benefit, cut, left_mask) of the best cut for this leaf."""
-        best = (0.0, None, None)
+        """Return (benefit, cut index, left_mask) of the best cut, or None."""
+        if not n_cuts:
+            return None
         n_leaf = len(leaf.rows)
-        for cut in cuts:
-            c = cut.col
-            # Queries whose accessibility a cut on column c can change.
-            qs = [qi for qi in leaf.accessed if c in preds_by_qcol[qi]]
-            if not qs:
-                continue
-            if isinstance(cut, NumCut):
-                lo, hi = leaf.ranges.get(c, (None, None))
-                if lo is None or not (lo < cut.v <= hi):
-                    continue
-                vals = colarr[c][leaf.rows]
-                lm = vals < cut.v
-                n1 = int(lm.sum())
-                if n1 < min_rows or n_leaf - n1 < min_rows:
-                    continue
-                # Child metadata refined on the cut column only.
-                lmeta = (lo, float(np.nextafter(cut.v, -np.inf)))
-                rmeta = (cut.v, hi)
-                ben = 0.0
-                for qi in qs:
-                    a1 = a2 = True
-                    for p in preds_by_qcol[qi][c]:
-                        if isinstance(p, RangePredicate):
-                            a1 = a1 and _overlaps_num(p, *lmeta)
-                            a2 = a2 and _overlaps_num(p, *rmeta)
-                    ben += n_leaf - n1 * a1 - (n_leaf - n1) * a2
-            else:
-                dset = leaf.distinct.get(c)
-                if dset is None:
-                    continue
-                inter = dset & cut.values
-                if not inter or inter == dset:
-                    continue
-                lm = pd.Index(colarr[c][leaf.rows]).isin(cut.values)
-                n1 = int(lm.sum())
-                if n1 < min_rows or n_leaf - n1 < min_rows:
-                    continue
-                ldist, rdist = inter, dset - cut.values
-                ben = 0.0
-                for qi in qs:
-                    a1 = a2 = True
-                    for p in preds_by_qcol[qi][c]:
-                        if isinstance(p, InPredicate):
-                            a1 = a1 and not p.values.isdisjoint(ldist)
-                            a2 = a2 and not p.values.isdisjoint(rdist)
-                    ben += n_leaf - n1 * a1 - (n_leaf - n1) * a2
-            if ben > best[0]:
-                best = (float(ben), cut, np.asarray(lm))
-        return best
+        acc = leaf.accessed.astype(float)
+        n1 = M[:, leaf.rows].sum(1)
+        cnt, s1, s2 = acc @ H, acc @ HA1, acc @ HA2
+        if len(cat):
+            # A query touches a side of a CatCut unless one of its IN-lists
+            # on the cut column misses every code of that side in the leaf.
+            PD = i_P * leaf.distinct.astype(float)
+            miss1 = i_inc @ (i_same & (PD @ Vf == 0)).astype(float)
+            miss2 = i_inc @ (i_same & (PD @ Vf_out == 0)).astype(float)
+            s1[cat] = acc @ (H_cat * (miss1 == 0))
+            s2[cat] = acc @ (H_cat * (miss2 == 0))
+        n1, cnt, s1, s2 = (x.astype(np.int64) for x in (n1, cnt, s1, s2))
+        ben = cnt * n_leaf - n1 * s1 - (n_leaf - n1) * s2
+        ok = splittable & (cnt > 0) & (n1 >= min_rows) & (n_leaf - n1 >= min_rows)
+        ben = np.where(ok, ben, 0)
+        j = int(np.argmax(ben))
+        if ben[j] <= 0:
+            return None
+        return float(ben[j]), j, M[j, leaf.rows]
 
-    def split_leaf(leaf: _Leaf, cut: Cut, lm: np.ndarray) -> tuple[_Leaf, _Leaf]:
-        rows_l, rows_r = leaf.rows[lm], leaf.rows[~lm]
-        if isinstance(cut, NumCut):
-            rl = dict(leaf.ranges)
-            rr = dict(leaf.ranges)
-            vl = colarr[cut.col][rows_l]
-            vr = colarr[cut.col][rows_r]
-            rl[cut.col] = (float(vl.min()), float(vl.max()))
-            rr[cut.col] = (float(vr.min()), float(vr.max()))
-            dl = dr = leaf.distinct
-        else:
-            rl = rr = leaf.ranges
-            dl = dict(leaf.distinct)
-            dr = dict(leaf.distinct)
-            dl[cut.col] = frozenset(colarr[cut.col][rows_l])
-            dr[cut.col] = frozenset(colarr[cut.col][rows_r])
-        return (
-            _Leaf(rows_l, rl, dl, leaf_accessed(rl, dl, leaf.accessed)),
-            _Leaf(rows_r, rr, dr, leaf_accessed(rr, dr, leaf.accessed)),
-        )
+    def split_leaf(leaf: _Leaf, j: int, lm: np.ndarray) -> tuple[_Leaf, _Leaf]:
+        children = []
+        col = cuts[j].col
+        for rows in (leaf.rows[lm], leaf.rows[~lm]):
+            lo, hi, distinct = leaf.lo, leaf.hi, leaf.distinct
+            if is_num[j]:
+                vals = colarr[col][rows]
+                lo, hi = lo.copy(), hi.copy()
+                lo[num_idx[col]], hi[num_idx[col]] = float(vals.min()), float(vals.max())
+            else:
+                distinct = distinct.copy()
+                distinct[col_codes[col]] = False
+                distinct[codes[col][rows]] = True
+            children.append(_Leaf(rows, lo, hi, distinct, leaf_accessed(lo, hi, distinct, leaf.accessed)))
+        return children[0], children[1]
 
     # Greedy loop with a lazy max-heap of candidate splits.
     counter = itertools.count()
@@ -289,19 +340,20 @@ def build_qdtree(
     def push(leaf: _Leaf, node: _Node) -> None:
         hid = next(counter)
         leaf_info[hid] = (leaf, node)
-        ben, cut, lm = best_split(leaf)
-        if cut is not None:
-            heapq.heappush(heap, (-ben, hid, cut, lm))
+        best = best_split(leaf)
+        if best is not None:
+            ben, j, lm = best
+            heapq.heappush(heap, (-ben, hid, j, lm))
 
     push(root_leaf, root_node)
     n_leaves = 1
     while n_leaves < k and heap:
-        negben, hid, cut, lm = heapq.heappop(heap)
+        negben, hid, j, lm = heapq.heappop(heap)
         if hid not in leaf_info:
             continue
         leaf, node = leaf_info.pop(hid)
-        lleaf, rleaf = split_leaf(leaf, cut, lm)
-        node.cut = cut
+        lleaf, rleaf = split_leaf(leaf, j, lm)
+        node.cut = cuts[j]
         node.left, node.right = _Node(), _Node()
         push(lleaf, node.left)
         push(rleaf, node.right)

@@ -127,3 +127,37 @@ class TestCostModel:
         empty = pd.DataFrame({"x": []})
         m = build_materialized(empty, np.array([], dtype=int), name="e", categorical_cols=())
         assert m.cost(Query((RangePredicate("x", lo=0),))) == 0.0
+
+
+class TestNaNStats:
+    """A NaN must never hide a partition's matching rows from pruning."""
+
+    @pytest.fixture()
+    def nan_mat(self):
+        import pandas as pd
+
+        pdf = pd.DataFrame({"x": [1.0, np.nan, 5.0, 6.0, np.nan, np.nan, 7.0, 8.0]})
+        bids = np.array([0, 0, 1, 1, 2, 2, 4, 4])  # partition 3 is empty
+        return pdf, build_materialized(pdf, bids, name="nan", categorical_cols=())
+
+    def test_partition_with_nan_keeps_its_match(self, nan_mat):
+        _, m = nan_mat
+        assert m.relevant_bids(Query((RangePredicate("x", lo=0, hi=2),))) == [0]
+
+    def test_sound_under_pandas_and_spark_nan_order(self, nan_mat):
+        pdf, m = nan_mat
+        x = pdf["x"].to_numpy()
+        bids = np.array([0, 0, 1, 1, 2, 2, 4, 4])
+        for lo, hi in [(0, 2), (5, 5), (6.5, None), (None, 1), (100, None), (None, 5.5)]:
+            q = Query((RangePredicate("x", lo=lo, hi=hi),))
+            keep = m.relevant_partitions(q)
+            # pandas: NaN matches no comparison.
+            assert keep[bids[q.mask(pdf)]].all()
+            # Spark: NaN sorts above every number, so it satisfies x >= lo.
+            spark = np.where(np.isnan(x), hi is None, q.mask(pdf))
+            assert keep[bids[spark]].all(), (lo, hi)
+
+    def test_nan_stats_values(self, nan_mat):
+        _, m = nan_mat
+        np.testing.assert_array_equal(m.mins["x"], [1.0, 5.0, np.inf, np.inf, 7.0])
+        np.testing.assert_array_equal(m.maxs["x"], [np.inf, 6.0, np.inf, -np.inf, 8.0])
