@@ -7,27 +7,54 @@ estimate query costs incurred by different layouts without accessing the
 underlying dataset" (§VI-A1). This module is that machinery:
 
 - :class:`MaterializedLayout` — per-partition row counts, per-column
-  min/max arrays (numeric) and distinct-value sets (categorical), with a
-  vectorized ``cost(query)`` = fraction of rows in partitions that the
-  metadata cannot prove irrelevant. This is the service cost ``c(s, q)``
-  of the D-UMTS formulation and the basis of ``eval_skipped``.
+  min/max arrays (numeric) and value -> partition bitsets (categorical),
+  with ``cost(query)`` = fraction of rows in partitions that the metadata
+  cannot prove irrelevant. This is the service cost ``c(s, q)`` of the
+  D-UMTS formulation and the basis of ``eval_skipped``.
 - :func:`build_materialized` — compute that metadata from a pandas frame
   plus a BID assignment, the same stats a Parquet writer would put in
   file footers.
 
 Pruning here is *sound by construction*: a partition is skipped only when
-its min/max (or distinct set) is disjoint from a predicate, so skipping can
+its min/max (or value set) is disjoint from a predicate, so skipping can
 never change query results — tests assert this against row-level ground
 truth, and the Spark integration asserts it against the DuckDB oracle.
+
+Every pruning decision is made on Python-int bitsets over partitions (bit b
+= partition b). Each numeric column keeps its partition maxima sorted with
+suffix bitsets and its minima sorted with prefix bitsets, so one bound is a
+``bisect`` plus a lookup; an IN-list ORs the bitsets of its values. A query
+ANDs its predicates' bitsets, and its cost sums the kept rows exactly through
+per-byte lookup tables (DESIGN.md "Metadata costing").
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 
 from repro.workload.queries import InPredicate, Query, RangePredicate
+
+
+def _cumulative_bits(parts: np.ndarray) -> list[int]:
+    """``out[i]`` = bitset of ``parts[:i]``, for i in 0..len(parts)."""
+    out = [0]
+    for b in parts.tolist():
+        out.append(out[-1] | (1 << b))
+    return out
+
+
+def _byte_row_tables(rows: list[int]) -> list[list[int]]:
+    """Per byte j of a partition bitset: byte value -> rows of its 8 partitions."""
+    tables = []
+    for j in range(0, len(rows), 8):
+        table = [0]
+        for r in rows[j : j + 8]:
+            table += [t + r for t in table]
+        tables.append(table)
+    return tables
 
 
 @dataclass
@@ -40,33 +67,56 @@ class MaterializedLayout:
     rows: np.ndarray  # (n_partitions,) row count per partition
     mins: dict[str, np.ndarray]  # numeric col -> (n_partitions,) min
     maxs: dict[str, np.ndarray]  # numeric col -> (n_partitions,) max
-    distinct: dict[str, list[frozenset]]  # categorical col -> per-partition sets
+    # Categorical col -> value -> bitset of the partitions holding it.
+    value_bits: dict[str, dict[object, int]]
     # The generator object that produced this layout (has .assign), if any.
     layout: object | None = field(default=None, repr=False, compare=False)
+    # Pruning index compiled from ``rows``/``mins``/``maxs`` at construction.
+    _ranges: dict = field(init=False, repr=False, compare=False)
+    _row_tables: list = field(init=False, repr=False, compare=False)
 
-    def relevant_partitions(self, query: Query) -> np.ndarray:
-        """Boolean mask over partitions that must be read for ``query``."""
-        keep = np.ones(self.n_partitions, dtype=bool)
+    def __post_init__(self) -> None:
+        # Numeric col -> (maxima ascending, suffix bitsets, minima ascending,
+        # prefix bitsets). The stats are float64 without NaN, so Python float
+        # comparison in ``bisect`` orders them exactly as numpy does.
+        self._ranges = {}
+        for c, hi in self.maxs.items():
+            lo = self.mins[c]
+            by_max, by_min = np.argsort(hi), np.argsort(lo)
+            suffix = _cumulative_bits(by_max[::-1])[::-1]
+            self._ranges[c] = (hi[by_max].tolist(), suffix, lo[by_min].tolist(), _cumulative_bits(by_min))
+        self._row_tables = _byte_row_tables(self.rows.tolist())
+
+    def _keep_bits(self, query: Query) -> int:
+        """Bitset of the partitions that must be read for ``query``."""
+        keep = (1 << self.n_partitions) - 1
         for p in query.predicates:
             if isinstance(p, RangePredicate):
-                if p.col not in self.mins:
+                index = self._ranges.get(p.col)
+                if index is None:
                     continue  # no stats for this column: cannot prune
-                if p.lo is not None:
-                    keep &= self.maxs[p.col] >= p.lo
-                if p.hi is not None:
-                    keep &= self.mins[p.col] <= p.hi
+                by_max, suffix, by_min, prefix = index
+                if p.lo is not None:  # partitions with max >= lo
+                    keep &= suffix[bisect_left(by_max, float(p.lo))]
+                if p.hi is not None:  # partitions with min <= hi
+                    keep &= prefix[bisect_right(by_min, float(p.hi))]
             elif isinstance(p, InPredicate):
-                sets = self.distinct.get(p.col)
-                if sets is None:
+                bits = self.value_bits.get(p.col)
+                if bits is None:
                     continue
-                keep &= np.fromiter(
-                    (not p.values.isdisjoint(s) for s in sets),
-                    dtype=bool,
-                    count=self.n_partitions,
-                )
+                hit = 0
+                for v in p.values:
+                    hit |= bits.get(v, 0)
+                keep &= hit
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown predicate type {type(p)}")
         return keep
+
+    def relevant_partitions(self, query: Query) -> np.ndarray:
+        """Boolean mask over partitions that must be read for ``query``."""
+        keep = self._keep_bits(query).to_bytes((self.n_partitions + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(keep, dtype=np.uint8), count=self.n_partitions, bitorder="little")
+        return bits.astype(bool)
 
     def relevant_bids(self, query: Query) -> list[int]:
         """Partition ids that must be read — the ``BID IN (...)`` list."""
@@ -76,8 +126,12 @@ class MaterializedLayout:
         """Service cost c(s, q): fraction of rows in non-skipped partitions."""
         if self.n_rows == 0:
             return 0.0
-        keep = self.relevant_partitions(query)
-        return float(self.rows[keep].sum() / self.n_rows)
+        keep = self._keep_bits(query)
+        kept_rows = 0
+        for table in self._row_tables:
+            kept_rows += table[keep & 0xFF]
+            keep >>= 8
+        return kept_rows / self.n_rows
 
     def eval_skipped(self, queries: list[Query] | tuple[Query, ...]) -> float:
         """Average fraction of data *skipped* over ``queries`` (paper API)."""
@@ -115,7 +169,7 @@ def build_materialized(
         )
 
     rows = np.bincount(bids, minlength=n_parts).astype(np.int64)
-    order = np.argsort(bids, kind="stable")
+    order = np.argsort(bids)
     sorted_bids = bids[order]
     # Partition boundaries in the sorted order: contiguous slices per BID.
     bounds = np.searchsorted(sorted_bids, np.arange(n_parts + 1))
@@ -139,14 +193,15 @@ def build_materialized(
         hi[np.isnan(hi)] = np.inf
         mins[c], maxs[c] = lo, hi
 
-    distinct: dict[str, list[frozenset]] = {}
+    value_bits: dict[str, dict[object, int]] = {}
     for c in categorical_cols:
         v = pdf[c].to_numpy()[order]
-        sets = []
-        for b in range(n_parts):
-            s, e = bounds[b], bounds[b + 1]
-            sets.append(frozenset(v[s:e]) if e > s else frozenset())
-        distinct[c] = sets
+        bits: dict[object, int] = {}
+        for b in np.flatnonzero(full).tolist():
+            bit = 1 << b
+            for x in set(v[bounds[b] : bounds[b + 1]]):
+                bits[x] = bits.get(x, 0) | bit
+        value_bits[c] = bits
 
     return MaterializedLayout(
         name=name,
@@ -155,6 +210,6 @@ def build_materialized(
         rows=rows,
         mins=mins,
         maxs=maxs,
-        distinct=distinct,
+        value_bits=value_bits,
         layout=layout,
     )

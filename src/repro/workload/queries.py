@@ -24,6 +24,18 @@ import pandas as pd
 Predicate = "RangePredicate | InPredicate"
 
 
+def _sql_number(x) -> str:
+    """A numeric literal: integers as integers, anything else via ``float``."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _sql_string(s: str) -> str:
+    """A quoted string literal; an embedded quote is doubled."""
+    return "'" + str(s).replace("'", "''") + "'"
+
+
 @dataclass(frozen=True)
 class RangePredicate:
     """Inclusive range predicate ``lo <= col <= hi``; either bound may be None."""
@@ -35,6 +47,11 @@ class RangePredicate:
     def __post_init__(self) -> None:
         if self.lo is None and self.hi is None:
             raise ValueError(f"RangePredicate on {self.col} needs at least one bound")
+        # NaN is the only value unequal to itself. A NaN bound has no sound
+        # pruning: it fails every comparison here, while Spark orders NaN
+        # above every number.
+        if self.lo != self.lo or self.hi != self.hi:
+            raise ValueError(f"RangePredicate on {self.col} has a NaN bound")
 
     def mask(self, pdf: pd.DataFrame) -> np.ndarray:
         """Row-wise boolean mask over ``pdf``."""
@@ -49,9 +66,9 @@ class RangePredicate:
     def to_sql(self) -> str:
         parts = []
         if self.lo is not None:
-            parts.append(f"{self.col} >= {self.lo!r}")
+            parts.append(f"{self.col} >= {_sql_number(self.lo)}")
         if self.hi is not None:
-            parts.append(f"{self.col} <= {self.hi!r}")
+            parts.append(f"{self.col} <= {_sql_number(self.hi)}")
         return "(" + " AND ".join(parts) + ")"
 
 
@@ -71,7 +88,7 @@ class InPredicate:
         return pdf[self.col].isin(self.values).to_numpy()
 
     def to_sql(self) -> str:
-        vals = ", ".join(f"'{v}'" for v in sorted(self.values))
+        vals = ", ".join(_sql_string(v) for v in sorted(self.values))
         return f"({self.col} IN ({vals}))"
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.layouts.fixed import build_fixed
 from repro.layouts.metadata import build_materialized
 from repro.layouts.qdtree import CatCut, NumCut, build_qdtree, harvest_cuts
-from repro.layouts.zorder import _interleave, build_zorder, top_queried_columns
+from repro.layouts.zorder import BITS, _interleave, build_zorder, sorted_quantiles, top_queried_columns
 from repro.workload import datasets as ds
 from repro.workload.generator import generate_workload
 from repro.workload.queries import InPredicate, Query, RangePredicate
@@ -204,3 +204,48 @@ class TestZOrder:
     def test_rejects_bad_k(self, pdf, workload):
         with pytest.raises(ValueError):
             build_zorder(pdf, workload.queries, 0)
+
+
+class TestSortedQuantiles:
+    """Z-order rank bounds from one sort equal ``np.quantile`` bit for bit."""
+
+    QS = np.linspace(0, 1, (1 << BITS) + 1)[1:-1]
+
+    @staticmethod
+    def assert_same(values):
+        got = sorted_quantiles(values, TestSortedQuantiles.QS)
+        want = np.quantile(values, TestSortedQuantiles.QS)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        assert (np.signbit(got) == np.signbit(want)).all()
+
+    @pytest.mark.parametrize("name", ["tpch_lite", "tpcds_lite", "telemetry"])
+    def test_dataset_samples(self, name):
+        spec = ds.SPECS[name]
+        sample = ds.build_pdf(name, sf=0.02).sample(n=4000, random_state=0)
+        numeric = [c for c in sample.columns if c not in spec.categorical_cols]
+        assert numeric
+        for c in numeric:
+            self.assert_same(sample[c].to_numpy())
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 4001])
+    def test_heavy_duplicates(self, dtype, n):
+        g = np.random.default_rng(n)
+        self.assert_same(g.integers(-3, 4, n).astype(dtype))
+        self.assert_same((g.integers(0, 2, n) * 10**6).astype(dtype))
+
+    def test_special_floats(self):
+        self.assert_same(np.array([-0.0]))
+        with np.errstate(invalid="ignore"):  # inf - inf, in numpy's lerp too
+            self.assert_same(np.array([np.inf]))
+            self.assert_same(np.array([-np.inf, 1.0, np.inf]))
+        self.assert_same(np.array([2.0, np.nan, 1.0]))  # all NaN, as np.quantile
+        self.assert_same(np.array([np.nan]))
+
+    def test_empty_sample_raises(self, pdf, workload):
+        for dtype in (np.int64, np.float64):
+            with pytest.raises(IndexError):
+                sorted_quantiles(np.array([], dtype=dtype), self.QS)
+        with pytest.raises(IndexError):
+            build_zorder(pdf.iloc[:0], workload.queries, 4, categorical_cols=ds.TPCH_LITE.categorical_cols)

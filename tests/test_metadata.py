@@ -1,5 +1,6 @@
 """Unit tests for partition metadata + metadata-only costing (soundness)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.layouts.metadata import build_materialized
@@ -40,7 +41,8 @@ class TestBuildMaterialized:
         g = np.random.default_rng(0)
         bids = g.integers(0, 16, len(pdf))
         sub = pdf[bids == 3]
-        assert mat.distinct["c_mktsegment"][3] == frozenset(sub["c_mktsegment"])
+        held = {v for v, bits in mat.value_bits["c_mktsegment"].items() if bits >> 3 & 1}
+        assert held == frozenset(sub["c_mktsegment"])
 
     def test_empty_partition(self, pdf):
         bids = np.zeros(len(pdf), dtype=int)
@@ -122,8 +124,6 @@ class TestCostModel:
         assert cv[0] == mat.cost(qs[0]) and cv[1] == mat.cost(qs[1])
 
     def test_empty_layout_cost_zero(self):
-        import pandas as pd
-
         empty = pd.DataFrame({"x": []})
         m = build_materialized(empty, np.array([], dtype=int), name="e", categorical_cols=())
         assert m.cost(Query((RangePredicate("x", lo=0),))) == 0.0
@@ -134,8 +134,6 @@ class TestNaNStats:
 
     @pytest.fixture()
     def nan_mat(self):
-        import pandas as pd
-
         pdf = pd.DataFrame({"x": [1.0, np.nan, 5.0, 6.0, np.nan, np.nan, 7.0, 8.0]})
         bids = np.array([0, 0, 1, 1, 2, 2, 4, 4])  # partition 3 is empty
         return pdf, build_materialized(pdf, bids, name="nan", categorical_cols=())
@@ -161,3 +159,108 @@ class TestNaNStats:
         _, m = nan_mat
         np.testing.assert_array_equal(m.mins["x"], [1.0, 5.0, np.inf, np.inf, 7.0])
         np.testing.assert_array_equal(m.maxs["x"], [np.inf, 6.0, np.inf, -np.inf, 8.0])
+
+
+def reference_relevant_partitions(mat, distinct, query):
+    """The numpy/frozenset pruning the bitset index replaced, kept verbatim."""
+    keep = np.ones(mat.n_partitions, dtype=bool)
+    for p in query.predicates:
+        if isinstance(p, RangePredicate):
+            if p.col not in mat.mins:
+                continue
+            if p.lo is not None:
+                keep &= mat.maxs[p.col] >= p.lo
+            if p.hi is not None:
+                keep &= mat.mins[p.col] <= p.hi
+        elif isinstance(p, InPredicate):
+            sets = distinct.get(p.col)
+            if sets is None:
+                continue
+            keep &= np.fromiter(
+                (not p.values.isdisjoint(s) for s in sets),
+                dtype=bool,
+                count=mat.n_partitions,
+            )
+    return keep
+
+
+class TestBitsetEquivalence:
+    """The bitset index prunes, lists BIDs and costs exactly as numpy did."""
+
+    CATS = ["a", "b", "c", "o'k", None]
+
+    @staticmethod
+    def random_case(g):
+        n = int(g.integers(1, 400))
+        k = int(g.choice([1, 3, 8, 24, 70]))
+        x = g.integers(-5, 6, n)  # heavy duplicates
+        y = g.normal(0, 10, n).round(1)
+        y[g.random(n) < 0.1] = np.nan
+        y[g.random(n) < 0.05] = np.inf
+        y[g.random(n) < 0.05] = -np.inf
+        z = np.where(g.random(n) < 0.2, np.nan, g.integers(0, 3, n).astype(float))
+        cat = np.array(TestBitsetEquivalence.CATS, dtype=object)[g.integers(0, 5, n)]
+        pdf = pd.DataFrame({"x": x, "y": y, "z": z, "cat": cat})
+        # Every other partition id is skipped, so some partitions are empty.
+        bids = g.integers(0, k, n) * 2
+        return pdf, bids
+
+    @staticmethod
+    def random_query(g, mat):
+        preds = []
+        for _ in range(int(g.integers(1, 4))):
+            kind = g.integers(0, 4)
+            if kind == 3:
+                n_vals = int(g.integers(1, 4))
+                vals = g.choice(["a", "b", "c", "o'k", "absent"], n_vals, replace=False)
+                col = str(g.choice(["cat", "cat", "x", "missing"]))
+                preds.append(InPredicate(col, frozenset(vals.tolist())))
+                continue
+            col = str(g.choice(["x", "y", "z", "cat", "missing"]))
+            stats = np.concatenate([mat.mins[col], mat.maxs[col]]) if col in mat.mins else np.zeros(1)
+            pool = np.concatenate([stats, [-np.inf, np.inf, -3.5, 0, 2.25]])
+
+            def bound():
+                b = g.choice(pool)
+                return int(b) if np.isfinite(b) and b == int(b) and g.random() < 0.5 else b
+
+            lo, hi = bound(), bound()
+            if kind == 0:
+                hi = None
+            elif kind == 1:
+                lo = None
+            preds.append(RangePredicate(col, lo=lo, hi=hi))
+        return Query(tuple(preds))
+
+    def test_matches_reference_and_ground_truth(self):
+        g = np.random.default_rng(20240)
+        for _ in range(40):
+            pdf, bids = self.random_case(g)
+            mat = build_materialized(pdf, bids, name="rand", categorical_cols=("cat",))
+            distinct = {
+                "cat": [frozenset(pdf["cat"][bids == b]) for b in range(mat.n_partitions)]
+            }
+            for _ in range(60):
+                q = self.random_query(g, mat)
+                ref = reference_relevant_partitions(mat, distinct, q)
+                keep = mat.relevant_partitions(q)
+                np.testing.assert_array_equal(keep, ref, err_msg=str(q))
+                assert mat.relevant_bids(q) == np.flatnonzero(ref).tolist()
+                ref_cost = float(mat.rows[ref].sum() / mat.n_rows)
+                assert mat.cost(q).hex() == ref_cost.hex(), q
+                # Sound against row-level ground truth (pandas semantics). A
+                # predicate without stats prunes nothing; dropping it only
+                # widens the matching rows.
+                with_stats = Query(tuple(
+                    p for p in q.predicates
+                    if p.col in (mat.mins if isinstance(p, RangePredicate) else mat.value_bits)
+                ))
+                assert keep[bids[with_stats.mask(pdf)]].all(), q
+
+    def test_range_bound_at_partition_stats(self):
+        pdf = pd.DataFrame({"x": [1, 2, 3, 4, 5, 6]})
+        m = build_materialized(pdf, np.array([0, 0, 1, 1, 2, 2]), name="r", categorical_cols=())
+        assert m.relevant_bids(Query((RangePredicate("x", lo=2),))) == [0, 1, 2]
+        assert m.relevant_bids(Query((RangePredicate("x", lo=2.5, hi=3),))) == [1]
+        assert m.relevant_bids(Query((RangePredicate("x", hi=4.0),))) == [0, 1]
+        assert m.cost(Query((RangePredicate("x", lo=7),))) == 0.0

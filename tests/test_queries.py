@@ -18,6 +18,11 @@ class TestRangePredicate:
         with pytest.raises(ValueError):
             RangePredicate("x")
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, None), (None, float("nan")), (0, np.float32("nan"))])
+    def test_rejects_nan_bound(self, lo, hi):
+        with pytest.raises(ValueError, match="NaN"):
+            RangePredicate("x", lo=lo, hi=hi)
+
     def test_mask_both_bounds(self, pdf):
         p = RangePredicate("l_quantity", lo=10, hi=20)
         m = p.mask(pdf)
@@ -35,6 +40,8 @@ class TestRangePredicate:
     def test_sql_rendering(self):
         p = RangePredicate("a", lo=1, hi=2)
         assert p.to_sql() == "(a >= 1 AND a <= 2)"
+        p = RangePredicate("a", lo=np.int64(3), hi=np.float64(2.5))
+        assert p.to_sql() == "(a >= 3 AND a <= 2.5)"
 
     def test_hashable_and_frozen(self):
         p = RangePredicate("a", lo=1)
@@ -56,6 +63,7 @@ class TestInPredicate:
     def test_sql_sorted_values(self):
         p = InPredicate("c", frozenset({"b", "a"}))
         assert p.to_sql() == "(c IN ('a', 'b'))"
+        assert InPredicate("c", frozenset({"o'k"})).to_sql() == "(c IN ('o''k'))"
 
     def test_values_coerced_to_frozenset(self):
         p = InPredicate("c", {"x"})  # type: ignore[arg-type]
@@ -101,10 +109,10 @@ class TestQuery:
         """The SQL rendering and the pandas mask must agree row-for-row."""
         queries = [
             Query((RangePredicate("l_shipdate", lo=500, hi=900),)),
-            Query((InPredicate("l_shipmode", frozenset({"AIR", "MAIL"})),)),
+            Query((InPredicate("l_shipmode", frozenset({"AIR", "MAIL", "o'k"})),)),
             Query(
                 (
-                    RangePredicate("o_totalprice", lo=100000.0),
+                    RangePredicate("o_totalprice", lo=np.float64(100000.5)),
                     InPredicate("c_mktsegment", frozenset({"BUILDING"})),
                 )
             ),
